@@ -108,3 +108,12 @@ class QueryBatch:
                     highs[index] = interval.high
             result[name] = (lows, highs)
         return result
+
+    def dimensions_per_query(self) -> tuple[tuple[str, ...], ...]:
+        """Each query's own constrained dimensions, in its ``ranges`` order.
+
+        The per-query companion of :meth:`bounds`: query ``i``'s bounds are
+        real on exactly ``dimensions_per_query()[i]`` and the open sentinels
+        on every other dimension of the batch.
+        """
+        return tuple(query.dimensions for query in self.queries)

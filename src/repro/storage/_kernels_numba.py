@@ -4,7 +4,7 @@ Each kernel is the fused per-pair loop form of one numpy pipeline stage in
 :meth:`~repro.storage.layout.ClusterLayout._pair_values` /
 :meth:`~repro.storage.layout.ClusterLayout._bisect_segment_sums`:
 
-* :func:`and_range_mask` replaces the ``rows`` gather + two broadcast
+* :func:`and_range_mask` replaces the ``rows`` gather + two range
   comparisons of one dimension — it walks each pair's segment in place and
   clears mask bytes outside the bounds, touching no temporary arrays;
 * :func:`masked_segment_sums` replaces the ``measure[rows] * mask`` product

@@ -80,6 +80,10 @@ class KernelTelemetry:
     rows_evaluated:
         Rows actually read by the row-evaluation kernels (the dense engine
         reads ``num_queries * num_rows``).
+    row_dimension_tests:
+        Row x dimension range tests the row kernels made.  The numpy pair
+        kernel tests each row on its query's own constrained dimensions;
+        the dense and compiled kernels test every dimension of the batch.
     tiles:
         Number of evaluation tiles the row kernels split their work into.
     max_tile_bytes:
@@ -105,6 +109,7 @@ class KernelTelemetry:
     pairs_bisected: int = 0
     pairs_scanned: int = 0
     rows_evaluated: int = 0
+    row_dimension_tests: int = 0
     tiles: int = 0
     max_tile_bytes: int = 0
     backend: str = ""
@@ -568,7 +573,9 @@ class ClusterLayout:
             self._bisect_into(bounds, covered_per_dim, straddle, result, execution)
         pair_query, pair_positions = np.nonzero(straddle)
         if pair_query.size:
-            values = self._pair_values(bounds, pair_query, pair_positions, execution)
+            values = self._pair_values(
+                bounds, batch.dimensions_per_query(), pair_query, pair_positions, execution
+            )
             result[pair_query, pair_positions] = values
         return result
 
@@ -631,6 +638,9 @@ class ClusterLayout:
                 values,
             )
             return values
+        # Needles in the column dtype: a wider needle would make
+        # np.searchsorted upcast (copy) the whole segment on every search.
+        lows, highs = _bounds_as(column, lows, highs)
         values = np.empty(pair_query.size, dtype=np.int64)
         for slot, (query, position) in enumerate(
             zip(pair_query.tolist(), pair_positions.tolist())
@@ -722,6 +732,7 @@ class ClusterLayout:
                 if telemetry is not None:
                     telemetry.tiles += 1
                     telemetry.rows_evaluated += masks.size
+                    telemetry.row_dimension_tests += masks.size * len(bounds)
                     telemetry.max_tile_bytes = max(
                         telemetry.max_tile_bytes,
                         masks.size * self._bytes_per_cell(bounds),
@@ -757,8 +768,8 @@ class ClusterLayout:
         (query, cluster) pairs requested.  With ``execution.prune`` each
         requested pair is first classified against the zone maps (skip /
         segment-sum / bisect), so only genuinely straddling pairs reach the
-        row kernel; the row kernel expands per-query bounds to per-row
-        bounds with ``np.repeat`` and serves all pairs with boolean masks
+        row kernel; the row kernel tests each query's rows on that query's
+        own constrained dimensions and serves all pairs with boolean masks
         plus one segmented reduction per tile.
         """
         execution = execution or DEFAULT_EXECUTION
@@ -774,9 +785,12 @@ class ClusterLayout:
         pair_positions = np.concatenate(
             [np.asarray(p, dtype=np.int64) for p in positions_per_query]
         )
+        query_dims = batch.dimensions_per_query()
         telemetry = _telemetry
         if not execution.prune:
-            pair_values = self._pair_values(bounds, pair_query, pair_positions, execution)
+            pair_values = self._pair_values(
+                bounds, query_dims, pair_query, pair_positions, execution
+            )
         else:
             overlap = np.ones(total_pairs, dtype=bool)
             covered = np.ones(total_pairs, dtype=bool)
@@ -810,7 +824,11 @@ class ClusterLayout:
             remaining = np.flatnonzero(straddle)
             if remaining.size:
                 pair_values[remaining] = self._pair_values(
-                    bounds, pair_query[remaining], pair_positions[remaining], execution
+                    bounds,
+                    query_dims,
+                    pair_query[remaining],
+                    pair_positions[remaining],
+                    execution,
                 )
         boundaries = np.zeros(num_queries + 1, dtype=np.int64)
         np.cumsum(pair_counts, out=boundaries[1:])
@@ -851,29 +869,37 @@ class ClusterLayout:
     def _pair_values(
         self,
         bounds,
+        query_dims: Sequence[Sequence[str]],
         pair_query: np.ndarray,
         pair_positions: np.ndarray,
         execution: ExecutionConfig,
     ) -> np.ndarray:
         """Row-evaluate arbitrary (query, cluster) pairs, tiled to the budget.
 
+        ``pair_query`` must be non-decreasing (each query's pairs form one
+        contiguous run), which both callers produce by construction;
+        ``query_dims`` is the batch's
+        :meth:`~repro.query.batch.QueryBatch.dimensions_per_query`.
         The flattened kernel, in the backend selected by
         ``execution.kernel_backend``:
 
-        * **numpy** — per-query bounds are expanded to per-row bounds with
-          ``np.repeat``, one boolean-mask pass plus one ``np.add.reduceat``
-          serves every pair of a tile;
+        * **numpy** — the tile's row index is built once; then each query's
+          run of pairs is tested against the dimensions *that query*
+          constrains only, with scalar bounds in the column dtype, and one
+          masked ``np.add.reduceat`` serves every pair of the tile;
         * **numba** — the fused njit kernels walk each pair's segment in
           place (:func:`~repro.storage._kernels_numba.and_range_mask` per
-          constrained dimension, then one
+          dimension of the batch, then one
           :func:`~repro.storage._kernels_numba.masked_segment_sums` pass);
           the only temporary is a single byte-mask buffer reused across
-          tiles, so the per-row footprint drops from ~17+ bytes to 1.
+          tiles, so the per-row footprint drops to 1 byte.
 
         Either way total work equals the sum of the requested cluster sizes
         — the same rows a per-query loop would scan — and the results are
         bit-identical (integer sums are exact under any order).
         """
+        if np.any(pair_query[1:] < pair_query[:-1]):
+            raise StorageError("pair_query must be non-decreasing (grouped by query)")
         lengths = self.cluster_rows[pair_positions]
         num_pairs = int(lengths.size)
         values = np.zeros(num_pairs, dtype=np.int64)
@@ -885,6 +911,12 @@ class ClusterLayout:
         telemetry = _telemetry
         if telemetry is not None:
             telemetry._note_backend(backend)
+            # Dimensions range-tested per row of each query: the compiled
+            # tier tests the whole batch's union, the numpy tier the query's own.
+            tested_dims = np.array(
+                [len(bounds) if backend.compiled else len(dims) for dims in query_dims],
+                dtype=np.int64,
+            )
         tile_bounds = _pair_tile_boundaries(lengths, max_rows)
         mask_buffer: np.ndarray | None = None
         if backend.compiled:
@@ -894,6 +926,13 @@ class ClusterLayout:
             np.cumsum(lengths, out=prefix[1:])
             largest = int((prefix[tile_bounds[1:]] - prefix[tile_bounds[:-1]]).max())
             mask_buffer = np.empty(max(largest, 1), dtype=np.uint8)
+        else:
+            # Bounds cast to each column's dtype once per call; the row tests
+            # then compare against numpy scalars and never upcast a column.
+            cast_bounds = {
+                name: _bounds_as(self.columns[name], lows, highs)
+                for name, (lows, highs) in bounds.items()
+            }
         for tile_index in range(tile_bounds.size - 1):
             tile = slice(int(tile_bounds[tile_index]), int(tile_bounds[tile_index + 1]))
             tile_lengths = lengths[tile]
@@ -906,42 +945,69 @@ class ClusterLayout:
                 values[tile] = self._pair_values_compiled(
                     bounds, tile_queries, tile_positions, tile_lengths, total, mask_buffer
                 )
-                tile_nonempty = tile_lengths > 0
             else:
-                offsets = np.zeros(tile_lengths.size, dtype=np.int64)
-                np.cumsum(tile_lengths[:-1], out=offsets[1:])
-                rows = (
-                    np.repeat(self.starts[tile_positions] - offsets, tile_lengths)
-                    + np.arange(total, dtype=np.int64)
+                values[tile] = self._pair_values_numpy(
+                    cast_bounds, query_dims, tile_queries, tile_positions, tile_lengths, total
                 )
-                mask = np.ones(total, dtype=bool)
-                for name, (lows, highs) in bounds.items():
-                    column = self.columns[name][rows]
-                    dim_lows, dim_highs = _bounds_as(column, lows, highs)
-                    row_lows = np.repeat(dim_lows[tile_queries], tile_lengths)
-                    row_highs = np.repeat(dim_highs[tile_queries], tile_lengths)
-                    np.logical_and(mask, column >= row_lows, out=mask)
-                    np.logical_and(mask, column <= row_highs, out=mask)
-                contributions = self.measure[rows] * mask
-                # reduceat over non-empty pair offsets only: zero-length pairs
-                # keep their zero and never reach the ufunc (which would
-                # otherwise return the element at the segment start).
-                tile_nonempty = tile_lengths > 0
-                red_offsets = offsets[tile_nonempty]
-                tile_values = np.zeros(tile_lengths.size, dtype=np.int64)
-                if red_offsets.size:
-                    tile_values[tile_nonempty] = np.add.reduceat(contributions, red_offsets)
-                values[tile] = tile_values
             if telemetry is not None:
+                tile_nonempty = int((tile_lengths > 0).sum())
                 telemetry.tiles += 1
                 telemetry.rows_evaluated += total
-                telemetry.pairs_scanned += int(tile_nonempty.sum())
+                telemetry.row_dimension_tests += int(
+                    (tested_dims[tile_queries] * tile_lengths).sum()
+                )
+                telemetry.pairs_scanned += tile_nonempty
                 if backend.compiled:
-                    telemetry.pairs_fused += int(tile_nonempty.sum())
+                    telemetry.pairs_fused += tile_nonempty
                 telemetry.max_tile_bytes = max(
                     telemetry.max_tile_bytes, total * bytes_per_row
                 )
         return values
+
+    def _pair_values_numpy(
+        self,
+        cast_bounds: Mapping[str, tuple[np.ndarray, np.ndarray]],
+        query_dims: Sequence[Sequence[str]],
+        tile_queries: np.ndarray,
+        tile_positions: np.ndarray,
+        tile_lengths: np.ndarray,
+        total: int,
+    ) -> np.ndarray:
+        """One numpy evaluation of a tile of query-grouped (query, cluster) pairs."""
+        offsets = np.zeros(tile_lengths.size + 1, dtype=np.int64)
+        np.cumsum(tile_lengths, out=offsets[1:])
+        rows = (
+            np.repeat(self.starts[tile_positions] - offsets[:-1], tile_lengths)
+            + np.arange(total, dtype=np.int64)
+        )
+        mask = np.ones(total, dtype=bool)
+        # Each query's pairs are one contiguous run of the tile, so its rows
+        # are one contiguous slice of ``rows``/``mask``.
+        run_starts = np.flatnonzero(tile_queries[1:] != tile_queries[:-1]) + 1
+        run_bounds = np.concatenate(([0], run_starts, [tile_queries.size]))
+        for run_index in range(run_bounds.size - 1):
+            first = int(run_bounds[run_index])
+            row_start = int(offsets[first])
+            row_stop = int(offsets[run_bounds[run_index + 1]])
+            run_rows = rows[row_start:row_stop]
+            run_mask = mask[row_start:row_stop]
+            query = int(tile_queries[first])
+            for name in query_dims[query]:
+                lows, highs = cast_bounds[name]
+                column = self.columns[name].take(run_rows)
+                run_mask &= column >= lows[query]
+                run_mask &= column <= highs[query]
+        contributions = self.measure.take(rows)
+        contributions *= mask
+        # reduceat over non-empty pair offsets only: zero-length pairs keep
+        # their zero and never reach the ufunc (which would otherwise return
+        # the element at the segment start).
+        tile_nonempty = tile_lengths > 0
+        tile_values = np.zeros(tile_lengths.size, dtype=np.int64)
+        red_offsets = offsets[:-1][tile_nonempty]
+        if red_offsets.size:
+            tile_values[tile_nonempty] = np.add.reduceat(contributions, red_offsets)
+        return tile_values
 
     def _pair_values_compiled(
         self,
@@ -976,18 +1042,17 @@ class ClusterLayout:
     def _bytes_per_pair_row(self, bounds, *, compiled: bool = False) -> int:
         """Per-row temporary footprint estimate of the flattened pair kernel.
 
-        numpy path: row index (8) + mask (1) + int64 contributions (8) + per
-        constrained dimension a gathered column copy, two repeated bound
-        rows, and a comparison temporary.  The fused njit path touches only
-        the shared byte mask — 1 byte per row regardless of dimensions.
+        numpy path: row index (8) + mask (1) + int64 contributions (8) + one
+        gathered column copy (its itemsize) and one comparison temporary (1)
+        — the dimensions are tested one at a time, so the estimate depends
+        on the widest column of the batch, not on how many dimensions it
+        has.  The fused njit path touches only the shared byte mask — 1 byte
+        per row regardless of dimensions.
         """
         if compiled:
             return 1
-        per_dim = 0
-        for name in bounds:
-            itemsize = int(self.columns[name].itemsize)
-            per_dim += 3 * itemsize + 1
-        return 17 + per_dim
+        widest = max((int(self.columns[name].itemsize) for name in bounds), default=0)
+        return 18 + widest
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the contiguous arrays."""

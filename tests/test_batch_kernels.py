@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core.sensitivity import (
     ClusterSensitivityInputs,
     delta_r,
@@ -21,8 +22,13 @@ from repro.core.sensitivity import (
 from repro.query.batch import QueryBatch
 from repro.query.executor import ExactExecutor, execute_on_cluster
 from repro.query.model import RangeQuery
+from repro.errors import StorageError
 from repro.sampling.em_sampler import EMClusterSampler
+from repro.storage.clustered_table import ClusteredTable
+from repro.storage.layout import OPEN_HIGH, OPEN_LOW, collect_kernel_telemetry
 from repro.storage.metadata import build_metadata
+from repro.storage.schema import Dimension, Schema
+from repro.storage.table import Table
 
 
 @pytest.fixture
@@ -83,6 +89,112 @@ class TestClusterLayout:
         assert sub.num_rows == (
             clustered.clusters[2].num_rows + clustered.clusters[5].num_rows
         )
+
+
+class TestPairKernel:
+    """The numpy row kernel behind ``query_cluster_values``/``cluster_values``."""
+
+    NUMPY_TILED = ExecutionConfig(
+        prune=False, sorted_bisect=False, max_kernel_bytes=4096, kernel_backend="numpy"
+    )
+
+    @pytest.fixture
+    def wide_clustered(self):
+        """1 200 rows over 7 dimensions, in clusters of 100 rows."""
+        rng = np.random.default_rng(29)
+        schema = Schema(tuple(Dimension(f"d{i}", 0, 99) for i in range(7)))
+        table = Table(schema, {f"d{i}": rng.integers(0, 100, 1200) for i in range(7)})
+        return ClusteredTable.from_table(table, cluster_size=100)
+
+    def test_rows_are_tested_on_their_querys_dimensions_only(self, wide_clustered):
+        layout = wide_clustered.layout()
+        queries = [
+            RangeQuery.count({"d0": (10, 60), "d1": (5, 95), "d2": (0, 40)}),
+            RangeQuery.count({"d3": (20, 80), "d4": (0, 50), "d5": (30, 99)}),
+            RangeQuery.sum({"d6": (0, 70), "d0": (40, 99), "d3": (10, 90)}),
+        ]
+        batch = QueryBatch(tuple(queries))
+        positions = [np.arange(layout.num_clusters) for _ in queries]
+        with collect_kernel_telemetry() as stats:
+            values = layout.query_cluster_values(
+                batch, positions, execution=self.NUMPY_TILED
+            )
+        for query, got in zip(queries, values):
+            expected = [execute_on_cluster(cluster, query) for cluster in wide_clustered]
+            assert got.tolist() == expected
+        assert stats.rows_evaluated == len(queries) * layout.num_rows
+        assert stats.row_dimension_tests == 3 * stats.rows_evaluated
+        # One query's 1 200 rows do not fit one 4096-byte tile.
+        assert stats.tiles > len(queries)
+        assert stats.max_tile_bytes <= 4096
+
+        pruned = ExecutionConfig(
+            prune=True, sorted_bisect=False, max_kernel_bytes=4096, kernel_backend="numpy"
+        )
+        with collect_kernel_telemetry() as stats:
+            layout.cluster_values(batch, execution=pruned)
+        assert stats.rows_evaluated > 0
+        assert stats.row_dimension_tests == 3 * stats.rows_evaluated
+        assert stats.max_tile_bytes <= 4096
+
+    def test_footprint_estimate_does_not_grow_with_the_batch_union(self, wide_clustered):
+        layout = wide_clustered.layout()
+        one = QueryBatch((RangeQuery.count({"d0": (0, 9)}),))
+        seven = QueryBatch(
+            tuple(RangeQuery.count({f"d{i}": (0, 9)}) for i in range(7))
+        )
+        assert layout._bytes_per_pair_row(
+            one.bounds(OPEN_LOW, OPEN_HIGH)
+        ) == layout._bytes_per_pair_row(seven.bounds(OPEN_LOW, OPEN_HIGH))
+
+    def test_pairs_must_be_grouped_by_query(self, layout):
+        batch = QueryBatch(
+            (RangeQuery.count({"age": (0, 50)}), RangeQuery.count({"age": (50, 99)}))
+        )
+        with pytest.raises(StorageError, match="non-decreasing"):
+            layout._pair_values(
+                batch.bounds(OPEN_LOW, OPEN_HIGH),
+                batch.dimensions_per_query(),
+                np.array([1, 0]),
+                np.array([0, 1]),
+                self.NUMPY_TILED,
+            )
+
+    def test_numpy_bisection_searches_in_the_column_dtype(self, small_table, monkeypatch):
+        """Bounds outside int32 on a narrowed sorted column: exact, and no upcast.
+
+        A needle wider than the segment makes ``np.searchsorted`` copy the
+        whole segment per search, so every search must get a needle of the
+        segment's own dtype.
+        """
+        key = "age"
+        clustered = ClusteredTable.from_table(
+            small_table, cluster_size=100, policy="sorted", sort_by=key
+        )
+        layout = clustered.layout()
+        assert key in layout.sorted_dimensions
+        assert layout.columns[key].dtype == np.int32
+        queries = [
+            RangeQuery.count({key: (-(2**40), 50)}),
+            RangeQuery.sum({key: (30, 2**40)}),
+            RangeQuery.count({key: (-(2**40), 2**40)}),
+        ]
+        needles: list[tuple[np.dtype, np.dtype]] = []
+        searchsorted = np.searchsorted
+
+        def spy(segment, needle, *args, **kwargs):
+            needles.append((np.asarray(segment).dtype, np.asarray(needle).dtype))
+            return searchsorted(segment, needle, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        execution = ExecutionConfig(prune=True, sorted_bisect=True, kernel_backend="numpy")
+        with collect_kernel_telemetry() as stats:
+            matrix = layout.cluster_values(QueryBatch(tuple(queries)), execution=execution)
+        assert stats.pairs_bisected > 0
+        assert needles and all(segment == needle for segment, needle in needles)
+        for index, query in enumerate(queries):
+            expected = [execute_on_cluster(cluster, query) for cluster in clustered]
+            assert matrix[index].tolist() == expected
 
 
 class TestMetadataBatch:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import (
     DENSE_EXECUTION,
@@ -122,6 +124,105 @@ def test_all_kernel_modes_match_dense(seed, policy):
     masks = layout.row_masks(batch, execution=DENSE_EXECUTION)
     tiled = layout.row_masks(batch, execution=EXECUTION_MODES["tiled-tiny"])
     assert np.array_equal(masks, tiled)
+
+
+# -- independent reference: a plain per-cluster numpy loop ------------------
+#
+# The dense mode shares the pair kernel with the other modes (dense
+# ``query_cluster_values`` runs it on every pair), so "≡ dense" cannot catch a
+# kernel bug they share.  This sweep checks every mode against a loop over
+# the raw per-cluster arrays instead, written without any layout code.
+
+WIDE = 2**40  # outside int32: the "wide" column is never narrowed
+FAR = 2**35  # a bound outside int32 on every dimension
+REFERENCE_DOMAINS = {"a": (0, 20), "b": (-5, 5), "c": (0, 9), "wide": (-WIDE, WIDE)}
+REFERENCE_SCHEMA = Schema(
+    tuple(Dimension(name, low, high) for name, (low, high) in REFERENCE_DOMAINS.items()),
+    measure="measure",
+)
+
+
+@st.composite
+def reference_chunks(draw):
+    """Per-cluster raw columns, some clusters empty, each sorted on one dimension.
+
+    Clusters of up to 120 rows make one query's pairs span several tiles
+    under the 4096-byte budget of the tiled modes (about 150 rows a tile).
+    """
+    sizes = draw(st.lists(st.integers(0, 120), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sort_by = draw(st.sampled_from(sorted(REFERENCE_DOMAINS)))
+    chunks = []
+    for size in sizes:
+        chunk = {
+            name: rng.integers(low, high + 1, size)
+            for name, (low, high) in REFERENCE_DOMAINS.items()
+        }
+        chunk["wide"][:1] = WIDE  # keeps the column int64 whenever rows exist
+        chunk["measure"] = rng.integers(1, 50, size)
+        order = np.argsort(chunk[sort_by], kind="stable")
+        chunk = {name: column[order] for name, column in chunk.items()}
+        chunks.append(chunk)
+    return chunks
+
+
+@st.composite
+def reference_queries(draw):
+    """A COUNT or SUM query on its own subset of the dimensions."""
+    names = draw(
+        st.lists(st.sampled_from(sorted(REFERENCE_DOMAINS)), min_size=1, max_size=4, unique=True)
+    )
+    ranges = {}
+    for name in names:
+        low, high = REFERENCE_DOMAINS[name]
+        edges = [
+            draw(st.sampled_from([-FAR, FAR]))
+            if draw(st.integers(0, 3)) == 0
+            else draw(st.integers(low - 2, high + 2))
+            for _ in range(2)
+        ]
+        ranges[name] = (min(edges), max(edges))
+    return draw(st.sampled_from([RangeQuery.count, RangeQuery.sum]))(ranges)
+
+
+def _reference_value(chunk: dict[str, np.ndarray], query: RangeQuery) -> int:
+    keep = np.ones(chunk["measure"].size, dtype=bool)
+    for name, interval in query.ranges.items():
+        keep &= (chunk[name] >= interval.low) & (chunk[name] <= interval.high)
+    return int(chunk["measure"][keep].sum())
+
+
+@given(
+    reference_chunks(),
+    st.lists(reference_queries(), min_size=1, max_size=5),
+    st.integers(0, 2**31 - 1),
+)
+def test_every_mode_matches_independent_per_cluster_loop(chunks, queries, seed):
+    layout = ClusteredTable(
+        clusters=tuple(
+            Cluster(cluster_id=index, rows=Table(REFERENCE_SCHEMA, chunk), nominal_size=128)
+            for index, chunk in enumerate(chunks)
+        ),
+        cluster_size=128,
+    ).layout()
+    if layout.num_rows:
+        assert layout.columns["a"].dtype == np.int32
+        assert layout.columns["wide"].dtype == np.int64
+    batch = QueryBatch(tuple(queries))
+    expected = np.array(
+        [[_reference_value(chunk, query) for chunk in chunks] for query in queries],
+        dtype=np.int64,
+    ).reshape(len(queries), len(chunks))
+    rng = np.random.default_rng(seed)
+    positions = [
+        rng.permutation(len(chunks))[: rng.integers(0, len(chunks) + 1)] for _ in queries
+    ]
+    for mode, execution in EXECUTION_MODES.items():
+        matrix = layout.cluster_values(batch, execution=execution)
+        assert np.array_equal(matrix, expected), mode
+        values = layout.query_cluster_values(batch, positions, execution=execution)
+        for index, chosen in enumerate(positions):
+            assert np.array_equal(values[index], expected[index, chosen]), mode
 
 
 def test_dense_matches_per_cluster_loop():
